@@ -7,7 +7,8 @@
 //!
 //! Differences from real proptest: cases are generated from a fixed
 //! deterministic seed derived from the test name (fully reproducible
-//! runs), and failing cases are reported but **not shrunk**.
+//! runs), and failing cases are reported but **not shrunk**. As in real
+//! proptest, `PROPTEST_CASES` sets the default case count.
 
 pub mod strategy {
     use crate::test_runner::TestRng;
@@ -290,9 +291,24 @@ pub mod test_runner {
         }
     }
 
+    impl ProptestConfig {
+        /// The default case count, overridden by a positive integer in
+        /// `PROPTEST_CASES` as in real proptest (unset or malformed keeps
+        /// 64).
+        pub(crate) fn cases_from_env(value: Option<&str>) -> u32 {
+            value
+                .and_then(|v| v.trim().parse().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or(64)
+        }
+    }
+
     impl Default for ProptestConfig {
         fn default() -> Self {
-            Self { cases: 64 }
+            let env = std::env::var("PROPTEST_CASES").ok();
+            Self {
+                cases: Self::cases_from_env(env.as_deref()),
+            }
         }
     }
 
@@ -480,6 +496,17 @@ mod tests {
         #[test]
         fn config_header_is_honored(x in 0f32..1.0) {
             prop_assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn default_case_count_reads_proptest_cases() {
+        use crate::test_runner::ProptestConfig;
+        assert_eq!(ProptestConfig::cases_from_env(None), 64);
+        assert_eq!(ProptestConfig::cases_from_env(Some("4096")), 4096);
+        assert_eq!(ProptestConfig::cases_from_env(Some(" 7\n")), 7);
+        for bad in ["", "many", "-3", "0", "1e3", "99999999999"] {
+            assert_eq!(ProptestConfig::cases_from_env(Some(bad)), 64, "{bad:?}");
         }
     }
 

@@ -15,8 +15,7 @@
 //!   by server-side HPC I/O schedulers).
 
 use crate::policy::{
-    greedy_allocate_into, order_by_key_asc, order_into_by_key_asc, AllocScratch, Allocation,
-    OnlinePolicy, SchedContext,
+    order_into_by_key_asc, AllocScratch, Allocation, AppState, OnlinePolicy, Rank, SchedContext,
 };
 use iosched_model::Bw;
 
@@ -32,12 +31,6 @@ pub struct FairShare;
 impl OnlinePolicy for FairShare {
     fn name(&self) -> String {
         "fairshare".into()
-    }
-
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        // Order is irrelevant for a policy that serves everyone; return
-        // id order for determinism (used only if someone wraps us).
-        (0..ctx.pending.len()).collect()
     }
 
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
@@ -106,17 +99,8 @@ impl OnlinePolicy for Fcfs {
         "fcfs".into()
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_key_asc(ctx, |a| a.io_requested_at.as_secs())
-    }
-
-    fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| a.io_requested_at.as_secs());
-    }
-
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+    fn rank(&self, a: &AppState) -> Option<Rank> {
+        Some(Rank::key(a.io_requested_at.as_secs()))
     }
 }
 

@@ -18,10 +18,7 @@
 //! Fig. 16 per-application measurements; we implement the reading
 //! consistent with the reported results.
 
-use crate::policy::{
-    greedy_allocate_into, order_by_key_asc, order_into_by_key_asc, AllocScratch, OnlinePolicy,
-    SchedContext,
-};
+use crate::policy::{AppState, OnlinePolicy, Rank};
 
 /// Serve applications with the highest `β·ρ̃` first.
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,17 +29,8 @@ impl OnlinePolicy for MaxSysEff {
         "maxsyseff".into()
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_key_asc(ctx, |a| -a.syseff_key)
-    }
-
-    fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| -a.syseff_key);
-    }
-
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+    fn rank(&self, a: &AppState) -> Option<Rank> {
+        Some(Rank::key(-a.syseff_key))
     }
 }
 

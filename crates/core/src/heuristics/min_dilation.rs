@@ -3,10 +3,7 @@
 //! congestion-free schedule, which directly attacks the Dilation objective
 //! (fairness / user-oriented).
 
-use crate::policy::{
-    greedy_allocate_into, order_by_key_asc, order_into_by_key_asc, AllocScratch, OnlinePolicy,
-    SchedContext,
-};
+use crate::policy::{AppState, OnlinePolicy, Rank};
 
 /// Serve the most-slowed-down applications first.
 #[derive(Debug, Clone, Copy, Default)]
@@ -17,17 +14,8 @@ impl OnlinePolicy for MinDilation {
         "mindilation".into()
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_key_asc(ctx, |a| a.dilation_ratio)
-    }
-
-    fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| a.dilation_ratio);
-    }
-
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+    fn rank(&self, a: &AppState) -> Option<Rank> {
+        Some(Rank::key(a.dilation_ratio))
     }
 }
 

@@ -9,7 +9,7 @@
 //! Since `0 ≤ ρ̃/ρ ≤ 1`, MinMax-γ degenerates to MinDilation at `γ = 1`
 //! and to MaxSysEff at `γ = 0` (no ratio can sit strictly below 0).
 
-use crate::policy::{greedy_allocate_into, AllocScratch, AppState, OnlinePolicy, SchedContext};
+use crate::policy::{AppState, OnlinePolicy, Rank};
 
 /// Threshold strategy: rescue applications whose dilation ratio fell below
 /// `gamma`, otherwise optimize system efficiency.
@@ -38,10 +38,6 @@ impl MinMax {
     pub fn gamma(&self) -> f64 {
         self.gamma
     }
-
-    fn below_threshold(&self, a: &AppState) -> bool {
-        a.dilation_ratio < self.gamma
-    }
 }
 
 impl OnlinePolicy for MinMax {
@@ -49,48 +45,19 @@ impl OnlinePolicy for MinMax {
         format!("minmax-{:.2}", self.gamma)
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
+    fn rank(&self, a: &AppState) -> Option<Rank> {
         // Applications below the dilation threshold are rescued first
         // (most dilated first); the rest follow in MaxSysEff order
         // (descending β·ρ̃ — see the deviation note on
         // [`crate::heuristics::MaxSysEff`]).
-        let mut order: Vec<usize> = (0..ctx.pending.len()).collect();
-        order.sort_by(|&x, &y| {
-            let (ax, ay) = (&ctx.pending[x], &ctx.pending[y]);
-            let (bx, by) = (self.below_threshold(ax), self.below_threshold(ay));
-            by.cmp(&bx) // below-threshold group first
-                .then_with(|| match (bx, by) {
-                    (true, true) => ax.dilation_ratio.total_cmp(&ay.dilation_ratio),
-                    _ => ay.syseff_key.total_cmp(&ax.syseff_key),
-                })
-                .then_with(|| ax.id.cmp(&ay.id))
-        });
-        order
-    }
-
-    fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        // Same comparator as `order`, sorting the reused index buffer in
-        // place. The comparator is strict on distinct applications (the
-        // AppId tie-break), so the unstable sort yields the identical
-        // permutation.
-        scratch.order.clear();
-        scratch.order.extend(0..ctx.pending.len());
-        let gamma = self.gamma;
-        scratch.order.sort_unstable_by(|&x, &y| {
-            let (ax, ay) = (&ctx.pending[x], &ctx.pending[y]);
-            let (bx, by) = (ax.dilation_ratio < gamma, ay.dilation_ratio < gamma);
-            by.cmp(&bx)
-                .then_with(|| match (bx, by) {
-                    (true, true) => ax.dilation_ratio.total_cmp(&ay.dilation_ratio),
-                    _ => ay.syseff_key.total_cmp(&ax.syseff_key),
-                })
-                .then_with(|| ax.id.cmp(&ay.id))
-        });
-    }
-
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+        Some(if a.dilation_ratio < self.gamma {
+            Rank::key(a.dilation_ratio)
+        } else {
+            Rank {
+                class: 1,
+                key: -a.syseff_key,
+            }
+        })
     }
 }
 

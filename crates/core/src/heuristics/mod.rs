@@ -1,11 +1,13 @@
 //! The online heuristics of §3.1.
 //!
-//! All four strategies share the same skeleton: order the pending
-//! applications by a strategy-specific key, then run the greedy grant loop
-//! ([`crate::policy::greedy_allocate`]). The [`Priority`] wrapper composes
-//! with any of them, moving applications that already started their current
-//! I/O to the front of the order (disk locality on spinning disks —
-//! "solid-state drives do not present the problem", §3.1).
+//! All four strategies share the same skeleton: a strategy-specific
+//! [`crate::policy::Rank`] per pending application, served in ascending
+//! rank by the shared greedy grant loop
+//! ([`crate::policy::greedy_allocate_ranked`], which stops as soon as the
+//! PFS is saturated). The [`Priority`] wrapper composes with any of them,
+//! ranking applications that already started their current I/O above the
+//! rest (disk locality on spinning disks — "solid-state drives do not
+//! present the problem", §3.1).
 
 mod factory;
 mod max_syseff;

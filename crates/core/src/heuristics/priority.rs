@@ -6,11 +6,13 @@
 //! restarting the I/O of an application after an interruption, due to
 //! breaking disk locality."
 //!
-//! `Priority<P>` composes with any inner policy `P`: applications with
-//! `started_io == true` are ordered first (using `P`'s order among
-//! themselves), the rest follow, also in `P`'s order.
+//! `Priority<P>` composes with any ranked inner policy `P` (the whole
+//! §3.1 roster): applications with `started_io == true` are ordered
+//! first (using `P`'s order among themselves), the rest follow, also in
+//! `P`'s order. Over an unranked `P` it is unranked too and falls back to
+//! `AppId` order.
 
-use crate::policy::{greedy_allocate_into, AllocScratch, OnlinePolicy, SchedContext};
+use crate::policy::{AppState, OnlinePolicy, Rank};
 
 /// Never interrupt an application that already started its current I/O.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,44 +39,15 @@ impl<P: OnlinePolicy> OnlinePolicy for Priority<P> {
         format!("priority-{}", self.inner.name())
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        // Stable partition of the inner policy's order: applications that
-        // already started their I/O first, both groups keeping the inner
-        // policy's relative preferences.
-        let inner_order = self.inner.order(ctx);
-        let (started, fresh): (Vec<usize>, Vec<usize>) = inner_order
-            .into_iter()
-            .partition(|&i| ctx.pending[i].started_io);
-        let mut order = started;
-        order.extend(fresh);
-        order
-    }
-
-    fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.inner.order_into(ctx, scratch);
-        // Stable in-place partition of the inner order by `started_io`:
-        // started entries are compacted to the front (the write cursor
-        // never overtakes the read cursor), the rest are staged in `tmp`
-        // and appended — both groups keep the inner policy's relative
-        // preferences, exactly like the allocating `partition` above.
-        scratch.tmp.clear();
-        let mut w = 0;
-        for r in 0..scratch.order.len() {
-            let i = scratch.order[r];
-            if ctx.pending[i].started_io {
-                scratch.order[w] = i;
-                w += 1;
-            } else {
-                scratch.tmp.push(i);
-            }
-        }
-        scratch.order.truncate(w);
-        scratch.order.extend_from_slice(&scratch.tmp);
-    }
-
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+    fn rank(&self, a: &AppState) -> Option<Rank> {
+        // A stable partition of the inner order by `started_io` is the
+        // lexicographic (not started, inner rank) order: one class bit
+        // above the inner classes.
+        let inner = self.inner.rank(a)?;
+        Some(Rank {
+            class: inner.class | u8::from(!a.started_io) << 7,
+            ..inner
+        })
     }
 }
 

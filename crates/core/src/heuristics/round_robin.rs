@@ -5,10 +5,7 @@
 //! application that finished the I/O transfer of its last instance the
 //! longest time ago is favored."
 
-use crate::policy::{
-    greedy_allocate_into, order_by_key_asc, order_into_by_key_asc, AllocScratch, OnlinePolicy,
-    SchedContext,
-};
+use crate::policy::{AppState, OnlinePolicy, Rank};
 
 /// FCFS with fairness: least-recently-served application first.
 #[derive(Debug, Clone, Copy, Default)]
@@ -19,19 +16,10 @@ impl OnlinePolicy for RoundRobin {
         "roundrobin".into()
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
+    fn rank(&self, a: &AppState) -> Option<Rank> {
         // Oldest last-I/O-completion first; apps that never performed I/O
         // carry their release time, so long-waiting newcomers win too.
-        order_by_key_asc(ctx, |a| a.last_io_end.as_secs())
-    }
-
-    fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| a.last_io_end.as_secs());
-    }
-
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+        Some(Rank::key(a.last_io_end.as_secs()))
     }
 }
 

@@ -49,5 +49,5 @@ pub use control::{CongestionSignal, ControlPolicy, PiController, TokenBucket};
 pub use heuristics::{
     standard_policies, BasePolicy, MaxSysEff, MinDilation, MinMax, PolicyKind, Priority, RoundRobin,
 };
-pub use policy::{Allocation, AppState, OnlinePolicy, SchedContext};
+pub use policy::{Allocation, AppState, OnlinePolicy, Rank, SchedContext};
 pub use registry::{ControlFactory, PeriodicFactory, PolicyFactory};

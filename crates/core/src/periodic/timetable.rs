@@ -111,12 +111,6 @@ impl OnlinePolicy for TimetablePolicy {
         self.name.clone()
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        // Ordering is irrelevant — allocate is overridden — but must be a
-        // permutation for trait contract purposes.
-        (0..ctx.pending.len()).collect()
-    }
-
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
         let offset = self.offset(ctx.now);
         let mut grants: Vec<(AppId, Bw)> = ctx

@@ -10,13 +10,66 @@
 //! `bw_avail` is what remains of `B` when its turn comes; the others are
 //! stalled until the next event.
 //!
-//! Policies are pure ordering strategies over [`AppState`] snapshots plus
-//! the shared greedy grant loop [`greedy_allocate`]; this keeps every
-//! heuristic of the paper a ~30-line module and guarantees they all enforce
-//! the two §2.1 capacity rules identically.
+//! A policy is a preference order over [`AppState`] snapshots fed to one
+//! shared greedy grant loop, which guarantees every heuristic enforces
+//! the two §2.1 capacity rules identically. Most policies express the
+//! order as a per-application [`Rank`] (a class plus an `f64` key):
+//! [`greedy_allocate_ranked`] then pops a heap of ranks only until `B` is
+//! exhausted instead of sorting every pending application at every
+//! event. [`OnlinePolicy::order`] + [`greedy_allocate`] is the allocating
+//! reference path it must agree with bit for bit.
 
 use iosched_model::{AppId, Bw, Time};
 use serde::{Deserialize, Serialize};
+use std::collections::BinaryHeap;
+
+/// A policy's preference for one pending application: lower ranks are
+/// favored. Ranks compare by `class`, then by `key` in IEEE-754 total
+/// order (`f64::total_cmp`), then by `AppId`, so every ranked order is a
+/// deterministic function of the snapshot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rank {
+    /// Coarse group: every application of a lower class is served first.
+    /// Bit 7 is reserved for [`crate::heuristics::Priority`].
+    pub class: u8,
+    /// Order within a class, ascending.
+    pub key: f64,
+}
+
+/// Low bits of a packed rank that carry the pending index.
+const INDEX_BITS: u32 = 56;
+
+impl Rank {
+    /// Rank by `key` alone (class 0).
+    #[must_use]
+    pub fn key(key: f64) -> Self {
+        Self { class: 0, key }
+    }
+
+    /// `(class, key)` as one integer with the same order: the key maps
+    /// through the IEEE-754 total-order bijection (flip all bits of
+    /// negatives, set the sign bit of non-negatives), so integer order on
+    /// the image is exactly `f64::total_cmp` on the key.
+    fn ordinal(self) -> u128 {
+        let b = self.key.to_bits();
+        let image = if b >> 63 == 1 { !b } else { b | (1 << 63) };
+        u128::from(self.class) << 64 | u128::from(image)
+    }
+
+    /// The ordinal with pending index `index` in the low bits. Pending
+    /// indices ascend with `AppId` (the [`StateBuffer`] contract), so
+    /// integer order on packed ranks is the full rank order, tie-break
+    /// included, and the index comes back out of the low bits.
+    fn packed(self, index: usize) -> u128 {
+        debug_assert!(index < 1 << INDEX_BITS);
+        self.ordinal() << INDEX_BITS | index as u128
+    }
+}
+
+/// The pending index stored in a [`Rank::packed`] value.
+fn unpack_index(packed: u128) -> usize {
+    (packed & ((1 << INDEX_BITS) - 1)) as usize
+}
 
 /// Scheduler-visible snapshot of one application that currently wants to
 /// perform I/O (it is either stalled waiting for a grant or mid-transfer).
@@ -181,8 +234,15 @@ impl StateBuffer {
         self.states.clear();
     }
 
-    /// Append one application snapshot.
+    /// Append one application snapshot. Ids must strictly ascend within
+    /// a snapshot (checked in debug builds).
     pub fn push(&mut self, state: AppState) {
+        debug_assert!(
+            self.states.last().is_none_or(|last| last.id < state.id),
+            "StateBuffer ids must strictly ascend: {} pushed after {:?}",
+            state.id,
+            self.states.last().map(|last| last.id)
+        );
         self.states.push(state);
     }
 
@@ -231,34 +291,29 @@ impl StateBuffer {
 
 /// Reusable workspace for the in-place allocation path
 /// ([`OnlinePolicy::allocate_into`]): the output [`Allocation`] plus the
-/// keyed/order scratch the sorting helpers fill.
+/// integer-keyed workspace the ranking helpers fill.
 ///
-/// Rebuilding a preference order allocates a `Vec<usize>` per event and
-/// recomputes every ordering key once per *comparison*; at millions of
-/// events this dominates the policy-side profile. Drivers keep one
-/// `AllocScratch` alive across events (next to their [`StateBuffer`]) so
-/// a policy that overrides `allocate_into`/`order_into` runs the whole
-/// decision without touching the heap: keys are computed once per
-/// application into `keyed`, the permutation lands in `order`, and the
-/// grants in `alloc.grants` — all retaining their capacity.
+/// Rebuilding a preference order allocates per event and recomputes
+/// ordering keys per comparison; at millions of events this dominates the
+/// policy-side profile. Drivers keep one `AllocScratch` alive across
+/// events (next to their [`StateBuffer`]) so a decision runs without
+/// touching the heap: each application's rank is computed once into
+/// `keyed` and the grants land in `alloc.grants`, both retaining their
+/// capacity. The ranked grant loop [`greedy_allocate_ranked`] never
+/// materializes a preference order; only the full-order paths
+/// ([`OnlinePolicy::order_into`], [`order_into_by_key_asc`]) fill
+/// `order`.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     /// The allocation decided by the last [`OnlinePolicy::allocate_into`].
     pub alloc: Allocation,
-    /// `(key-image, id, pending-index)` sorting workspace of
-    /// [`order_into_by_key_asc`]: the `f64` key mapped through the
-    /// IEEE-754 total-order bijection so the sort compares plain
-    /// integers, with the tie-breaking `AppId` carried inline.
-    pub(crate) keyed: Vec<(u64, u64, usize)>,
+    /// Packed ranks ([`Rank::packed`]): the heap buffer of
+    /// [`greedy_allocate_ranked`], the sort buffer of
+    /// [`order_into_by_key_asc`].
+    pub(crate) keyed: Vec<u128>,
     /// Preference order: indices into the pending slice, most-favored
     /// first.
     pub(crate) order: Vec<usize>,
-    /// Secondary index workspace (stable partitions, e.g.
-    /// [`crate::heuristics::Priority`]).
-    pub(crate) tmp: Vec<usize>,
-    /// Per-pending-index grant workspace of [`greedy_allocate_into`]
-    /// (lets the grant list come out in pending order without a sort).
-    pub(crate) grant_buf: Vec<Bw>,
 }
 
 impl AllocScratch {
@@ -279,30 +334,54 @@ impl AllocScratch {
 /// An online scheduling strategy (§3.1).
 ///
 /// A strategy is fundamentally a *preference order* over the pending
-/// applications; the grant loop ([`greedy_allocate`]) is shared by all of
-/// them, which guarantees that every heuristic enforces the §2.1 capacity
-/// rules identically. Implementations must be deterministic functions of
-/// the context (ties broken by `AppId`), so simulations are reproducible.
+/// applications; the grant loop is shared by all of them, which
+/// guarantees that every heuristic enforces the §2.1 capacity rules
+/// identically. Implementations must be deterministic functions of the
+/// context (ties broken by `AppId`), so simulations are reproducible.
+///
+/// A key order implements [`OnlinePolicy::rank`] and nothing else:
+/// `order`, `allocate` and `allocate_into` derive from it. Other orders
+/// implement `order` (and `allocate` when the grants are not the greedy
+/// loop's), leaving `rank` at `None`.
 pub trait OnlinePolicy: Send {
     /// Human-readable name used in reports ("maxsyseff", "priority-mindilation", …).
     fn name(&self) -> String;
 
+    /// This policy's preference for one pending application when its
+    /// order is a per-application key: pending applications are served
+    /// in ascending [`Rank`], ties broken by `AppId`. A ranked policy
+    /// must not override `allocate`, whose greedy grants the fused
+    /// [`greedy_allocate_ranked`] reproduces. The default `None` marks an
+    /// unranked policy.
+    fn rank(&self, app: &AppState) -> Option<Rank> {
+        let _ = app;
+        None
+    }
+
     /// Preference order: indices into `ctx.pending`, most-favored first.
-    /// Must be a permutation of `0..ctx.pending.len()`.
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize>;
+    /// Must be a permutation of `0..ctx.pending.len()`. The default sorts
+    /// by [`OnlinePolicy::rank`], ties by `AppId` (plain `AppId` order
+    /// for an unranked policy).
+    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..ctx.pending.len()).collect();
+        order.sort_by_key(|&i| {
+            let app = &ctx.pending[i];
+            (self.rank(app).map(Rank::ordinal), app.id)
+        });
+        order
+    }
 
     /// Decide bandwidth grants for the pending applications by running the
-    /// shared greedy grant loop over [`OnlinePolicy::order`].
+    /// shared greedy grant loop over [`OnlinePolicy::order`]: the
+    /// allocating reference path.
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
         let order = self.order(ctx);
         greedy_allocate(ctx, &order)
     }
 
     /// Fill `scratch.order` with [`OnlinePolicy::order`]'s permutation.
-    /// The default copies the allocating path's result; policies on hot
-    /// paths override it (typically via [`order_into_by_key_asc`]) so the
-    /// steady-state decision allocates nothing. Overrides must produce
-    /// exactly the permutation `order` would.
+    /// The default copies the allocating path's result; overrides must
+    /// produce exactly the permutation `order` would.
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
         let order = self.order(ctx);
         scratch.order.clear();
@@ -310,12 +389,15 @@ pub trait OnlinePolicy: Send {
     }
 
     /// Allocation entry point for drivers that reuse buffers across
-    /// events: decide the grants into `scratch.alloc`. The default
-    /// delegates to [`OnlinePolicy::allocate`]; overrides must be
-    /// bit-identical to it — drivers may use either entry point
-    /// interchangeably (the fluid engine drives this one).
+    /// events (the fluid engine drives this one): decide the grants into
+    /// `scratch.alloc`, bit-identical to [`OnlinePolicy::allocate`] —
+    /// drivers may use either entry point interchangeably. A ranked
+    /// policy runs [`greedy_allocate_ranked`]; otherwise the default
+    /// delegates to `allocate`.
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        scratch.alloc = self.allocate(ctx);
+        if !greedy_allocate_ranked(ctx, scratch, |a| self.rank(a)) {
+            scratch.alloc = self.allocate(ctx);
+        }
     }
 
     /// Next instant (strictly after `now`) at which this policy wants to
@@ -334,6 +416,9 @@ pub trait OnlinePolicy: Send {
 impl<P: OnlinePolicy + ?Sized> OnlinePolicy for Box<P> {
     fn name(&self) -> String {
         (**self).name()
+    }
+    fn rank(&self, app: &AppState) -> Option<Rank> {
+        (**self).rank(app)
     }
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
         (**self).order(ctx)
@@ -381,79 +466,88 @@ pub fn greedy_allocate(ctx: &SchedContext<'_>, order: &[usize]) -> Allocation {
     Allocation { grants }
 }
 
-/// In-place twin of [`greedy_allocate`]: run the shared grant loop over
-/// `scratch.order` writing into `scratch.alloc`. Bit-identical to the
-/// allocating path — same operations on the same values in the same
-/// order; only the destination vector is reused.
-pub fn greedy_allocate_into(ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-    // The grant loop runs in preference order (the budget consumption is
-    // sequential), but the grants are *scattered* into a per-pending-index
-    // buffer and then emitted in pending order. When the driver's pending
-    // slice is `AppId`-ascending — the fluid engine's `StateBuffer`
-    // contract — the emitted list is already sorted and the final sort is
-    // a no-op check; the grant values are identical either way (same
-    // `remaining` sequence in the same order).
-    scratch.grant_buf.clear();
-    scratch.grant_buf.resize(ctx.pending.len(), Bw::ZERO);
+/// The shared grant loop fused with a lazy rank order: give pending
+/// applications `min(max_bw, bw_avail)` in ascending `rank` until the
+/// PFS is saturated, writing the grants into `scratch.alloc`.
+///
+/// Grants depend only on the prefix of the order consumed before
+/// saturation, so instead of sorting every pending application the packed
+/// ranks are heapified in place (O(n)) and popped only while bandwidth
+/// remains: one pop per grant.
+/// The same `min`/`-=`/`snap_zero` sequence runs on the same values in
+/// the same order as [`greedy_allocate`] over the rank order, so the
+/// grants are bit-identical to it. Relies on the [`StateBuffer`]
+/// contract (pending `AppId`-ascending) for the tie-break.
+///
+/// Returns `false`, leaving `scratch.alloc` untouched, when nothing is
+/// pending or `rank` returns `None` (an unranked policy).
+pub fn greedy_allocate_ranked<F: FnMut(&AppState) -> Option<Rank>>(
+    ctx: &SchedContext<'_>,
+    scratch: &mut AllocScratch,
+    mut rank: F,
+) -> bool {
+    // Complemented packed ranks, so the max-heap pops the lowest rank.
+    scratch.keyed.clear();
+    for (i, app) in ctx.pending.iter().enumerate() {
+        let Some(r) = rank(app) else {
+            return false;
+        };
+        scratch.keyed.push(!r.packed(i));
+    }
+    if scratch.keyed.is_empty() {
+        return false;
+    }
+    // `From<Vec>` heapifies the buffer in place and `into_vec` hands it
+    // back: nothing allocates.
+    let mut heap = BinaryHeap::from(std::mem::take(&mut scratch.keyed));
+    let grants = &mut scratch.alloc.grants;
+    grants.clear();
     let mut remaining = ctx.total_bw;
-    for &idx in &scratch.order {
+    loop {
         if remaining.get() <= 0.0 || remaining.is_zero() {
             break;
         }
-        let app = &ctx.pending[idx];
+        let Some(top) = heap.pop() else {
+            break;
+        };
+        let app = &ctx.pending[unpack_index(!top)];
         let bw = app.max_bw.min(remaining);
         if bw.get() > 0.0 {
-            scratch.grant_buf[idx] = bw;
+            grants.push((app.id, bw));
             remaining -= bw;
             remaining = remaining.snap_zero();
         }
     }
-    let grants = &mut scratch.alloc.grants;
-    grants.clear();
-    for (idx, &bw) in scratch.grant_buf.iter().enumerate() {
-        if bw.get() > 0.0 {
-            grants.push((ctx.pending[idx].id, bw));
-        }
-    }
-    if !grants.is_sorted_by_key(|&(id, _)| id) {
-        grants.sort_unstable_by_key(|&(id, _)| id);
-    }
+    scratch.keyed = heap.into_vec();
+    grants.sort_unstable_by_key(|&(id, _)| id);
+    true
 }
 
-/// In-place twin of [`order_by_key_asc`]: fill `scratch.order` with the
-/// pending-app indices ordered by `key` ascending, ties broken by
-/// `AppId`. Produces exactly the allocating helper's permutation — the
-/// key is a pure function of the [`AppState`], so computing it once per
-/// application (instead of once per comparison) cannot change it, and
-/// the comparator is strict on distinct applications (ids are unique),
-/// so the unstable sort is deterministic.
+/// Fill `scratch.order` with the pending-app indices ordered by `key`
+/// ascending, ties broken by pending index (`AppId` order under the
+/// [`StateBuffer`] contract): the full-order path of policies
+/// whose grants need every application's position (water-filling,
+/// closed-loop control). Produces exactly [`order_by_key_asc`]'s
+/// permutation — each key is computed once and sorted as a packed
+/// integer ([`Rank::packed`]), so the hot comparison is free of indirect
+/// loads and float compares.
 pub fn order_into_by_key_asc<F: FnMut(&AppState) -> f64>(
     ctx: &SchedContext<'_>,
     scratch: &mut AllocScratch,
     mut key: F,
 ) {
-    // Map each key through the IEEE-754 total-order bijection (flip all
-    // bits of negatives, set the sign bit of non-negatives): `u64` order
-    // on the images is exactly `f64::total_cmp` on the keys. Sorting
-    // `(image, id)` pairs as integers therefore yields precisely the
-    // comparator-based permutation — and keeps the hot comparison free of
-    // indirect loads. That matters because keys tie *often* (e.g.
-    // `dilation_ratio` saturates at exactly 1.0 for every undelayed
-    // application), and the old closure resolved every tie with two
-    // random-access `pending[·].id` lookups.
     scratch.keyed.clear();
-    scratch
-        .keyed
-        .extend(ctx.pending.iter().enumerate().map(|(i, a)| {
-            let b = key(a).to_bits();
-            let image = if b >> 63 == 1 { !b } else { b | (1 << 63) };
-            (image, a.id.0 as u64, i)
-        }));
-    scratch.keyed.sort_unstable_by_key(|&(k, id, _)| (k, id));
+    scratch.keyed.extend(
+        ctx.pending
+            .iter()
+            .enumerate()
+            .map(|(i, a)| Rank::key(key(a)).packed(i)),
+    );
+    scratch.keyed.sort_unstable();
     scratch.order.clear();
     scratch
         .order
-        .extend(scratch.keyed.iter().map(|&(_, _, i)| i));
+        .extend(scratch.keyed.iter().map(|&p| unpack_index(p)));
 }
 
 /// Sort helper: returns pending-app indices ordered by `key` ascending,
@@ -628,10 +722,11 @@ mod tests {
 
     #[test]
     fn order_into_matches_the_allocating_helper() {
-        // Unsorted pending with key ties: the scratch path must
-        // reproduce the allocating helper's permutation exactly,
-        // including the AppId tie-break.
-        let mut pending = [app(2, 1.0), app(0, 1.0), app(1, 1.0), app(3, 1.0)];
+        // Key ties between non-adjacent applications: the scratch path
+        // must reproduce the allocating helper's permutation exactly,
+        // including the AppId tie-break (pending is AppId-ascending, the
+        // StateBuffer contract the packed tie-break relies on).
+        let mut pending = [app(0, 1.0), app(1, 1.0), app(2, 1.0), app(3, 1.0)];
         pending[0].dilation_ratio = 0.5;
         pending[3].dilation_ratio = 0.5;
         let c = ctx(10.0, &pending);
@@ -642,11 +737,17 @@ mod tests {
 
     #[test]
     fn greedy_into_is_bit_identical_to_greedy() {
-        let pending = [app(0, 6.0), app(1, 6.0), app(2, 6.0)];
+        // Ranks put the preference order at 2, 0, 1; the ranked loop
+        // must grant exactly what the reference loop grants over it.
+        let mut pending = [app(0, 6.0), app(1, 6.0), app(2, 6.0)];
+        for (a, key) in pending.iter_mut().zip([1.0, 2.0, -0.0]) {
+            a.syseff_key = key;
+        }
         let c = ctx(10.0, &pending);
         let mut scratch = AllocScratch::new();
-        scratch.order = vec![2, 0, 1];
-        greedy_allocate_into(&c, &mut scratch);
+        assert!(greedy_allocate_ranked(&c, &mut scratch, |a| Some(
+            Rank::key(a.syseff_key)
+        )));
         let reference = greedy_allocate(&c, &[2, 0, 1]);
         assert_eq!(scratch.alloc.grants.len(), reference.grants.len());
         for ((ia, ba), (ib, bb)) in scratch.alloc.grants.iter().zip(&reference.grants) {
@@ -671,7 +772,69 @@ mod tests {
         let mut scratch = AllocScratch::new();
         Fixed.allocate_into(&c, &mut scratch);
         assert_eq!(scratch.alloc, Fixed.allocate(&c));
+        assert_eq!(Fixed.rank(&pending[0]), None);
         Fixed.order_into(&c, &mut scratch);
         assert_eq!(scratch.order(), Fixed.order(&c));
+    }
+
+    #[test]
+    fn ranked_grants_stop_at_saturation_and_keep_class_order() {
+        // Class dominates the key; the first two ranked applications
+        // saturate B and the rest are never granted.
+        struct Ranked;
+        impl OnlinePolicy for Ranked {
+            fn name(&self) -> String {
+                "ranked".into()
+            }
+            fn rank(&self, app: &AppState) -> Option<Rank> {
+                Some(Rank {
+                    class: u8::from(app.id.0.is_multiple_of(2)),
+                    key: -(app.id.0 as f64),
+                })
+            }
+        }
+        let pending: Vec<AppState> = (0..6).map(|i| app(i, 6.0)).collect();
+        let c = ctx(10.0, &pending);
+        let ids: Vec<usize> = Ranked.order(&c).iter().map(|&i| pending[i].id.0).collect();
+        assert_eq!(ids, vec![5, 3, 1, 4, 2, 0]);
+        let mut scratch = AllocScratch::new();
+        Ranked.allocate_into(&c, &mut scratch);
+        assert_eq!(scratch.alloc, Ranked.allocate(&c));
+        let granted: Vec<usize> = scratch.alloc.grants.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(granted, vec![3, 5]);
+        assert!(scratch
+            .alloc
+            .granted(AppId(3))
+            .approx_eq(Bw::gib_per_sec(4.0)));
+    }
+
+    #[test]
+    fn rank_ordinal_is_the_total_order() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            f64::INFINITY,
+        ];
+        for w in keys.windows(2) {
+            assert!(Rank::key(w[0]).ordinal() < Rank::key(w[1]).ordinal());
+        }
+        let high = Rank {
+            class: 1,
+            key: f64::NEG_INFINITY,
+        };
+        assert!(Rank::key(f64::INFINITY).ordinal() < high.ordinal());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascend")]
+    fn state_buffer_rejects_out_of_order_ids() {
+        let mut buf = StateBuffer::new();
+        buf.push(app(1, 1.0));
+        buf.push(app(1, 1.0));
     }
 }
