@@ -137,9 +137,17 @@ fn write_str(out: &mut String, s: &str) {
 
 // --- Parsing. -----------------------------------------------------------
 
+/// Deepest array/object nesting [`parse`] accepts — real `serde_json`'s
+/// default recursion limit. The parser recurses once per level, so
+/// without a bound a long enough run of `[` overflows the stack, and
+/// that aborts the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 /// Parse a complete JSON document.
@@ -147,6 +155,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -204,8 +213,19 @@ impl Parser<'_> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::Str),
-            b'[' => self.seq(),
-            b'{' => self.map(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!(
+                        "recursion limit exceeded: more than {MAX_DEPTH} nested \
+                         arrays/objects at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.seq() } else { self.map() };
+                self.depth -= 1;
+                v
+            }
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(Error::custom(format!(
                 "unexpected character '{}' at byte {}",
@@ -398,6 +418,25 @@ mod tests {
             let back: f64 = from_str(&s).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} reparsed as {back}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_the_stack() {
+        fn arrays(n: usize) -> String {
+            "[".repeat(n) + &"]".repeat(n)
+        }
+        fn objects(n: usize) -> String {
+            "{\"k\":".repeat(n) + "null" + &"}".repeat(n)
+        }
+        for doc in [arrays, objects] {
+            assert!(parse(&doc(MAX_DEPTH)).is_ok(), "{MAX_DEPTH} levels parse");
+            let err = parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+        // Far past the limit: still an error, never a stack overflow.
+        assert!(parse(&"[".repeat(400_000)).is_err());
+        // Depth is nesting, not size: long flat documents still parse.
+        assert!(parse(&format!("[{}0]", "[[]],".repeat(10_000))).is_ok());
     }
 
     #[test]

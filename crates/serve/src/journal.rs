@@ -391,6 +391,30 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_are_corruption_not_a_stack_overflow() {
+        let path = tmp("deep.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = Journal::create(&path, &spec()).unwrap();
+        journal.append(&arrival(0, 1.0)).unwrap();
+        drop(journal);
+
+        // A deep final line is a torn tail: dropped.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all("[".repeat(100_000).as_bytes()).unwrap();
+        f.write_all(b"\n").unwrap();
+        drop(f);
+        assert_eq!(Journal::load(&path).unwrap().arrivals.len(), 1);
+
+        // Followed by an intact line it is corruption, reported as such.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"drain\":{\"virtual_secs\":9,\"arrivals\":1}}\n")
+            .unwrap();
+        drop(f);
+        let err = Journal::load(&path).unwrap_err();
+        assert!(err.contains("recursion limit"), "{err}");
+    }
+
+    #[test]
     fn create_refuses_to_overwrite_and_load_requires_a_manifest() {
         let path = tmp("exists.jsonl");
         let _ = std::fs::remove_file(&path);

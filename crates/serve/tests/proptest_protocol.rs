@@ -52,6 +52,34 @@ proptest! {
         }
     }
 
+    /// Nesting from 1 to 10^5 levels, bare or inside a submit field,
+    /// closed or left open: past 128 levels the parser answers with a
+    /// recursion-limit error instead of recursing until the stack
+    /// overflows (an abort no daemon could catch).
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow(
+        depth in 1u64..100_000,
+        shape in 0u64..4,
+    ) {
+        let depth = depth as usize;
+        let (open, close) = if shape % 2 == 0 { ("[", "]") } else { (r#"{"k":"#, "}") };
+        let inner = if shape % 2 == 0 { "" } else { "0" };
+        let nested = format!("{}{inner}{}", open.repeat(depth), close.repeat(depth));
+        let line = if shape < 2 {
+            nested
+        } else {
+            format!(r#"{{"cmd":"submit","procs":{nested},"work":1,"vol":1}}"#)
+        };
+        let err = parse_request(&line).expect_err("no nesting makes a valid request");
+        // The submit wrapper adds one level of its own.
+        let levels = depth + usize::from(shape >= 2);
+        if levels > 128 {
+            prop_assert!(err.contains("recursion limit"), "{levels} levels: {err}");
+        } else {
+            prop_assert!(!err.contains("recursion limit"), "{levels} levels: {err}");
+        }
+    }
+
     /// Structurally valid submits with hostile numerics parse or are
     /// rejected with the offending field named — and an accepted parse
     /// always yields a submission the engine can validate (no panics
@@ -118,7 +146,15 @@ fn nasty_lines_never_kill_a_live_session() {
     let journal = Journal::create(&path, &spec).unwrap();
     let mut session = Session::new(sim, journal, &[]).unwrap();
 
+    let deep = "[".repeat(100_000);
+    let deep_submit = format!(
+        r#"{{"cmd":"submit","procs":{}1{},"work":1,"vol":1}}"#,
+        "[".repeat(200),
+        "]".repeat(200)
+    );
     let nasty = [
+        deep.as_str(),
+        deep_submit.as_str(),
         "",
         "\u{0}\u{1}\u{2}",
         "{",
@@ -136,6 +172,10 @@ fn nasty_lines_never_kill_a_live_session() {
         r#"{"cmd":"systemctl","unit":"iosched"}"#,
         r#"{"cmd":"submit","procs":100,"work":1,"vol":1,"count":99999999999999999999}"#,
     ];
+    for line in [deep.as_str(), deep_submit.as_str()] {
+        let err = parse_request(line).expect_err("deep nesting is a protocol error");
+        assert!(err.contains("recursion limit"), "{err}");
+    }
     for line in nasty {
         if let Ok(iosched_serve::protocol::Request::Submit {
             submission,

@@ -18,7 +18,8 @@
 //! ## Lifecycle
 //!
 //! The engine is an explicit state machine: [`Simulation::new`] validates
-//! the scenario and performs the initial allocation,
+//! the scenario, loads it into the arrival queue and performs the initial
+//! allocation,
 //! [`Simulation::step`] advances to exactly one next event, and
 //! [`Simulation::run_to_completion`] drives steps until every application
 //! finished and assembles the [`SimOutcome`]. The free function
@@ -48,9 +49,9 @@
 //! The steady-state step path performs no per-event heap allocation on
 //! the engine side: the pending set (indices of applications that
 //! currently want I/O) is maintained incrementally across events instead
-//! of rescanned, releases live in a pre-sorted stack, compute completions
-//! in a binary heap, and the predicted-completion scratch plus the
-//! [`StateBuffer`] policy snapshot are reused across events. The
+//! of rescanned, arrivals wait in a release-sorted queue, compute
+//! completions in a calendar queue, and the predicted-completion scratch
+//! plus the [`StateBuffer`] policy snapshot are reused across events. The
 //! predicted completions themselves are cached as absolute times behind a
 //! dirty flag — a transfer at constant rate finishes at the same instant
 //! no matter when it is predicted — so events that change no grant,
@@ -60,6 +61,18 @@
 //! themselves return a fresh [`iosched_core::policy::Allocation`] per
 //! event — a handful of grant pairs.) Trace segments are only
 //! materialized when [`SimConfig::record_trace`] asks for them.
+//!
+//! ## Admission and observation
+//!
+//! Every mode shares one admission path: a closed roster is validated as
+//! a whole and loaded into the arrival queue at construction, born
+//! closed; a stream feeds the queue one validated lookahead at a time;
+//! the daemon mode validates each [`Simulation::offer`] as it accepts
+//! it. Whatever sits in the queue has therefore been validated, and
+//! admission only installs it into a recycled or fresh slot. Every
+//! closed inter-event interval goes through one `close_interval` site,
+//! which feeds the telemetry ring, the steady-state window and the
+//! bandwidth trace from the same sample.
 //!
 //! ## Numerical discipline
 //!
@@ -371,30 +384,55 @@ impl PendingSet {
     }
 }
 
-/// Where applications come from: the closed roster installed at
-/// construction, or open admission fed by a queue.
-enum Admission<'a> {
-    /// Every application was installed up-front; future releases sit on
-    /// the pre-sorted stack.
-    Roster,
-    /// Open admission: arrivals wait in release order on `queue` until
-    /// the clock reaches them. The queue has two writers — an optional
-    /// `feeder` iterator auto-refilled after every admission (the
-    /// stream mode: the engine never holds more than the live set plus
-    /// one lookahead), and external [`Simulation::offer`] calls (the
-    /// daemon mode). Admission is *exhausted* once `closed` is set, the
-    /// feeder is drained and the queue is empty.
-    Open {
-        queue: VecDeque<AppSpec>,
-        /// Auto-refill source (`None` when drained or never installed).
-        /// Installed by [`Simulation::from_stream`]; mutually exclusive
-        /// with external offers.
-        feeder: Option<Box<dyn Iterator<Item = AppSpec> + 'a>>,
-        /// No further arrivals can appear: set at construction by the
-        /// stream mode (the feeder is the only source) and by
-        /// [`Simulation::close_admission`] in daemon mode.
-        closed: bool,
-    },
+/// Where applications come from. Arrivals wait in release order on
+/// `queue` until the clock reaches them; everything on it has already
+/// been validated. The queue has three writers — a closed roster loaded
+/// whole at construction, an optional `feeder` iterator auto-refilled
+/// after every admission (the stream mode: the engine never holds more
+/// than the live set plus one lookahead), and external
+/// [`Simulation::offer`] calls (the daemon mode). Admission is
+/// *exhausted* once `closed` is set, the feeder is drained and the queue
+/// is empty.
+struct Admission<'a> {
+    queue: VecDeque<AppSpec>,
+    /// Auto-refill source (`None` when drained or never installed).
+    /// Installed by [`Simulation::from_stream`]; mutually exclusive with
+    /// external offers.
+    feeder: Option<Box<dyn Iterator<Item = AppSpec> + 'a>>,
+    /// No further arrivals can appear: set at construction for a roster
+    /// or a stream (the queue or the feeder is the only source) and by
+    /// [`Simulation::close_admission`] in daemon mode.
+    closed: bool,
+}
+
+impl Admission<'_> {
+    /// Pull the feeder's next arrival into an empty queue, validating it
+    /// at the queue position it takes (`admitted`, after `last_release`).
+    /// A drained feeder is dropped, which is what makes exhaustion — and
+    /// thus [`Simulation::is_finished`] — visible the moment the last
+    /// arrival is admitted.
+    fn refill(
+        &mut self,
+        platform: &Platform,
+        admitted: usize,
+        last_release: Time,
+    ) -> Result<(), SimError> {
+        let Some(feeder) = &mut self.feeder else {
+            return Ok(());
+        };
+        if !self.queue.is_empty() {
+            return Ok(());
+        }
+        match feeder.next() {
+            Some(next) => {
+                validate_open_arrival(platform, &next, admitted, last_release)
+                    .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
+                self.queue.push_back(next);
+            }
+            None => self.feeder = None,
+        }
+        Ok(())
+    }
 }
 
 /// One in-flight fluid simulation: the explicit state machine behind
@@ -408,23 +446,22 @@ pub struct Simulation<'a> {
     config: &'a SimConfig,
     /// Cold slot arena of live (and recently finished) application
     /// records (spec, ρ̃/ρ bookkeeping, instance counter) — touched at
-    /// instance boundaries only. In closed-roster mode slots are the
-    /// input positions; in stream mode finished slots are recycled
-    /// through `free`, so the arena size tracks peak *concurrency*, not
-    /// total admissions.
+    /// instance boundaries only. Finished slots are recycled through
+    /// `free`, so the arena size tracks peak *concurrency*, not total
+    /// admissions.
     rts: Vec<AppRuntime>,
     /// Dense struct-of-arrays hot state, parallel to `rts`: everything
     /// the per-event passes (decay, completion scan, policy snapshot,
     /// grant application) read or write.
     hot: HotState,
-    /// Recycled slots of retired applications (stream mode).
+    /// Recycled slots of retired applications.
     free: Vec<usize>,
     /// Where new applications come from.
     admission: Admission<'a>,
-    /// Applications admitted so far (stream mode validates dense ids
-    /// against this; closed mode admits everything at construction).
+    /// Applications admitted so far (open arrivals validate dense ids
+    /// against this).
     admitted: usize,
-    /// Release time of the last admitted application (stream-order
+    /// Release time of the last admitted application (open-order
     /// validation).
     last_release: Time,
     /// Compact per-application results, drained out of the slots at
@@ -452,10 +489,6 @@ pub struct Simulation<'a> {
     /// Applications currently in the `Io` phase. Maintained
     /// incrementally by the transition handlers.
     pending: PendingSet,
-    /// Future releases of the closed roster, sorted descending by
-    /// `(release, id)` so `pop()` yields the earliest; empty in stream
-    /// mode.
-    releases: Vec<(Time, AppId, usize)>,
     /// Outstanding compute completions (bucket queue with a far-future
     /// heap fallback; pop order is identical to the former binary
     /// heap's).
@@ -495,10 +528,6 @@ pub struct Simulation<'a> {
     /// either side of the policy boundary.
     scratch: AllocScratch,
     trace: Option<BandwidthTrace>,
-    seg_start: Time,
-    seg_grants: Vec<(AppId, Bw)>,
-    seg_effective: Vec<(AppId, Bw)>,
-    seg_capacity: Bw,
     /// Always-on congestion tap (see [`crate::telemetry`]): ring buffer
     /// of closed inter-event intervals, whose derived signal is handed
     /// to the policy at every allocation. Kept (with its open interval)
@@ -566,8 +595,9 @@ impl StepTiming {
 }
 
 impl<'a> Simulation<'a> {
-    /// Validate the closed scenario, install every application and
-    /// perform the initial allocation at `t = 0`.
+    /// Validate the closed scenario (the `Σβ ≤ N` budget over any dense
+    /// id permutation), load it into the arrival queue — born closed —
+    /// and perform the initial allocation at `t = 0`.
     pub fn new(
         platform: &'a Platform,
         apps: &[AppSpec],
@@ -575,31 +605,33 @@ impl<'a> Simulation<'a> {
         config: &'a SimConfig,
     ) -> Result<Self, SimError> {
         validate_scenario(platform, apps).map_err(|e| SimError::InvalidScenario(e.to_string()))?;
+        Self::roster(platform, apps, policy, config, false)
+    }
+
+    /// Load an already validated roster into a closed arrival queue in
+    /// `(release, id)` order and start the engine.
+    fn roster(
+        platform: &'a Platform,
+        apps: &[AppSpec],
+        policy: &'a mut dyn OnlinePolicy,
+        config: &'a SimConfig,
+        open_system: bool,
+    ) -> Result<Self, SimError> {
         if apps.is_empty() {
             return Err(SimError::InvalidScenario(
                 "simulation needs at least one application".into(),
             ));
         }
-        let rts: Vec<AppRuntime> = apps
-            .iter()
-            .map(|a| AppRuntime::new(a.clone(), platform))
-            .collect();
-        let mut releases: Vec<(Time, AppId, usize)> = rts
-            .iter()
-            .enumerate()
-            .map(|(i, rt)| (rt.spec.release(), rt.spec.id(), i))
-            .collect();
-        releases.sort_by(|a, b| b.0.get().total_cmp(&a.0.get()).then(b.1.cmp(&a.1)));
-        let admitted = rts.len();
-        Self::start(
-            platform,
-            policy,
-            config,
-            rts,
-            releases,
-            Admission::Roster,
-            admitted,
-        )
+        let mut queue = apps.to_vec();
+        queue.sort_by(|a, b| {
+            (a.release().get().total_cmp(&b.release().get())).then(a.id().cmp(&b.id()))
+        });
+        let admission = Admission {
+            queue: queue.into(),
+            feeder: None,
+            closed: true,
+        };
+        Self::start(platform, policy, config, admission, open_system)
     }
 
     /// Open-system construction: pull applications from a release-sorted
@@ -617,29 +649,18 @@ impl<'a> Simulation<'a> {
         platform
             .validate()
             .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        let mut source: Box<dyn Iterator<Item = AppSpec> + 'a> = Box::new(source);
-        let mut queue = VecDeque::new();
-        match source.next() {
-            Some(first) => queue.push_back(first),
-            None => {
-                return Err(SimError::InvalidScenario(
-                    "application stream produced no applications".into(),
-                ))
-            }
+        let mut admission = Admission {
+            queue: VecDeque::new(),
+            feeder: Some(Box::new(source)),
+            closed: true, // the feeder is the only source
+        };
+        admission.refill(platform, 0, Time::ZERO)?;
+        if admission.queue.is_empty() {
+            return Err(SimError::InvalidScenario(
+                "application stream produced no applications".into(),
+            ));
         }
-        Self::start(
-            platform,
-            policy,
-            config,
-            Vec::new(),
-            Vec::new(),
-            Admission::Open {
-                queue,
-                feeder: Some(source),
-                closed: true, // the feeder is the only source
-            },
-            0,
-        )
+        Self::start(platform, policy, config, admission, true)
     }
 
     /// Reentrant open-system construction: the engine starts empty with
@@ -662,32 +683,25 @@ impl<'a> Simulation<'a> {
         platform
             .validate()
             .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        Self::start(
-            platform,
-            policy,
-            config,
-            Vec::new(),
-            Vec::new(),
-            Admission::Open {
-                queue: VecDeque::new(),
-                feeder: None,
-                closed: false,
-            },
-            0,
-        )
+        let admission = Admission {
+            queue: VecDeque::new(),
+            feeder: None,
+            closed: false,
+        };
+        Self::start(platform, policy, config, admission, true)
     }
 
     /// Shared second half of the constructors: engine-config validation,
-    /// initial transitions and the `t = 0` allocation.
-    #[allow(clippy::too_many_arguments)]
+    /// initial transitions and the `t = 0` allocation. An `open_system`
+    /// run always carries the steady-state accumulator and grows its
+    /// buffers with concurrency; a closed roster pre-sizes them to its
+    /// length instead.
     fn start(
         platform: &'a Platform,
         policy: &'a mut dyn OnlinePolicy,
         config: &'a SimConfig,
-        rts: Vec<AppRuntime>,
-        releases: Vec<(Time, AppId, usize)>,
         admission: Admission<'a>,
-        admitted: usize,
+        open_system: bool,
     ) -> Result<Self, SimError> {
         config.validate().map_err(SimError::InvalidScenario)?;
         let bb = if config.use_burst_buffer {
@@ -709,28 +723,27 @@ impl<'a> Simulation<'a> {
                 ));
             }
         }
-        let streamed = matches!(admission, Admission::Open { .. });
-        let n = rts.len();
-        let mut hot = HotState::with_capacity(n);
-        for rt in &rts {
-            hot.push_app(rt, platform);
-        }
+        let n = if open_system {
+            0
+        } else {
+            admission.queue.len()
+        };
         let mut sim = Self {
             platform,
             policy,
             config,
-            rts,
-            hot,
+            rts: Vec::with_capacity(n),
+            hot: HotState::with_capacity(n),
             free: Vec::new(),
             admission,
-            admitted,
+            admitted: 0,
             last_release: Time::ZERO,
-            // Pre-sized so a closed roster never reallocates mid-run
-            // (`retire` debug-asserts this); streams grow with the flag
-            // on, but the bounded-memory campaigns run with it off.
+            // Pre-sized so a closed roster never reallocates mid-run;
+            // open runs grow with the flag on, but the bounded-memory
+            // campaigns run with it off.
             retired: Vec::with_capacity(if config.per_app_detail { n } else { 0 }),
             agg: ObjectiveAccumulator::default(),
-            steady: (streamed || config.wants_steady()).then(|| SteadyAccum::new(config.warmup)),
+            steady: (open_system || config.wants_steady()).then(|| SteadyAccum::new(config.warmup)),
             halted: false,
             bb,
             now: Time::ZERO,
@@ -739,7 +752,6 @@ impl<'a> Simulation<'a> {
             drain_bw: platform.total_bw,
             inflow: Bw::ZERO,
             pending: PendingSet::with_capacity(n),
-            releases,
             compute: CalendarQueue::new(),
             predicted: Vec::with_capacity(n),
             predicted_next: Vec::with_capacity(n),
@@ -749,10 +761,6 @@ impl<'a> Simulation<'a> {
             snapshot: StateBuffer::new(),
             scratch: AllocScratch::new(),
             trace: config.record_trace.then(BandwidthTrace::default),
-            seg_start: Time::ZERO,
-            seg_grants: Vec::with_capacity(if config.record_trace { n } else { 0 }),
-            seg_effective: Vec::with_capacity(if config.record_trace { n } else { 0 }),
-            seg_capacity: platform.total_bw,
             telemetry: Telemetry::new(config.telemetry),
             tel_open: TelemetrySample::idle(Time::ZERO, platform.total_bw),
             dtrace: None,
@@ -762,7 +770,6 @@ impl<'a> Simulation<'a> {
         };
         sim.settle_transitions()?;
         sim.allocate()?;
-        sim.snapshot_segment();
         Ok(sim)
     }
 
@@ -783,14 +790,8 @@ impl<'a> Simulation<'a> {
     /// run.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        let exhausted = match &self.admission {
-            Admission::Roster => true, // everything admitted at construction
-            Admission::Open {
-                queue,
-                feeder,
-                closed,
-            } => *closed && feeder.is_none() && queue.is_empty(),
-        };
+        let a = &self.admission;
+        let exhausted = a.closed && a.feeder.is_none() && a.queue.is_empty();
         self.halted || (exhausted && self.finished == self.admitted)
     }
 
@@ -799,20 +800,16 @@ impl<'a> Simulation<'a> {
     /// closed-roster and stream modes.
     #[must_use]
     pub fn admission_open(&self) -> bool {
-        matches!(
-            &self.admission,
-            Admission::Open { closed: false, .. } if !self.halted
-        )
+        !self.admission.closed && !self.halted
     }
 
-    /// Arrivals accepted but not yet admitted (their releases lie ahead
-    /// of the clock). At most 1 in stream mode (the lookahead).
+    /// Arrivals validated but not yet admitted (their releases lie ahead
+    /// of the clock): a closed roster's not-yet-released applications,
+    /// at most 1 in stream mode (the lookahead), the accepted future
+    /// offers in daemon mode.
     #[must_use]
     pub fn queued(&self) -> usize {
-        match &self.admission {
-            Admission::Roster => 0,
-            Admission::Open { queue, .. } => queue.len(),
-        }
+        self.admission.queue.len()
     }
 
     /// Push one external arrival into open admission. The accepted offer
@@ -824,8 +821,8 @@ impl<'a> Simulation<'a> {
     /// Three acceptance rules, each rejected with an actionable error
     /// and no state change:
     ///
-    /// * admission must be open (not a roster/stream engine, not closed,
-    ///   not halted),
+    /// * admission must be open (not a roster/stream engine — both are
+    ///   born closed — not closed, not halted),
     /// * the app must be a valid open-system arrival at its queue
     ///   position ([`validate_open_arrival`]: individually feasible,
     ///   dense id, release no earlier than the last queued release),
@@ -842,38 +839,21 @@ impl<'a> Simulation<'a> {
                 "admission is closed: the horizon already halted this run".into(),
             ));
         }
-        let (queue, position, last) = match &mut self.admission {
-            Admission::Roster => {
-                return Err(SimError::InvalidScenario(
-                    "this engine was built from a closed roster; \
-                     external submissions need Simulation::open"
-                        .into(),
-                ))
-            }
-            Admission::Open {
-                feeder: Some(_), ..
-            } => {
-                return Err(SimError::InvalidScenario(
-                    "admission is fed by a stream source; \
-                     external submissions need Simulation::open"
-                        .into(),
-                ))
-            }
-            Admission::Open { closed: true, .. } => {
-                return Err(SimError::InvalidScenario(
-                    "admission has been closed; no further submissions are accepted".into(),
-                ))
-            }
-            Admission::Open {
-                queue,
-                feeder: None,
-                closed: false,
-            } => {
-                let last = queue.back().map_or(self.last_release, AppSpec::release);
-                let position = self.admitted + queue.len();
-                (queue, position, last)
-            }
-        };
+        if self.admission.feeder.is_some() {
+            return Err(SimError::InvalidScenario(
+                "admission is fed by a stream source; \
+                 external submissions need Simulation::open"
+                    .into(),
+            ));
+        }
+        if self.admission.closed {
+            return Err(SimError::InvalidScenario(
+                "admission has been closed; no further submissions are accepted".into(),
+            ));
+        }
+        let queue = &mut self.admission.queue;
+        let last = queue.back().map_or(self.last_release, AppSpec::release);
+        let position = self.admitted + queue.len();
         if !app.release().approx_gt(self.now) {
             return Err(SimError::InvalidScenario(format!(
                 "submission release {} is not after the engine clock {}; \
@@ -894,12 +874,12 @@ impl<'a> Simulation<'a> {
     /// [`Simulation::is_finished`]. Idempotent; a no-op for the
     /// closed-roster and stream modes (they are born closed).
     pub fn close_admission(&mut self) {
-        if let Admission::Open { closed, .. } = &mut self.admission {
-            *closed = true;
-        }
+        self.admission.closed = true;
     }
 
-    /// Applications admitted so far (the full roster for a closed run).
+    /// Applications admitted so far: every mode admits an application
+    /// when the clock reaches its release, so a closed roster counts
+    /// only its released applications.
     #[must_use]
     pub fn admitted(&self) -> usize {
         self.admitted
@@ -920,9 +900,9 @@ impl<'a> Simulation<'a> {
     /// Slot indices of applications currently wanting I/O, in ascending
     /// `AppId` order, materialized into a fresh vector (the membership
     /// itself lives in a dense id-keyed structure; see
-    /// [`Simulation::pending_len`] for the allocation-free count). For a
-    /// closed release-sorted roster, slots equal positions in the input
-    /// `apps` slice.
+    /// [`Simulation::pending_len`] for the allocation-free count). Slots
+    /// are recycled arena indices (see [`Simulation::runtimes`]), not
+    /// positions in any input slice.
     #[must_use]
     pub fn pending_apps(&self) -> Vec<usize> {
         self.pending.entries().iter().map(|&(_, i)| i).collect()
@@ -935,9 +915,10 @@ impl<'a> Simulation<'a> {
     }
 
     /// Cold per-application runtime slots (inspection hook for
-    /// steppable use). For a closed roster, indices match the input
-    /// `apps` slice; in stream mode a slot may hold a *retired* runtime
-    /// until a later admission recycles it.
+    /// steppable use). A retired application's slot goes to the next
+    /// admission, so the arena's length tracks the run's peak
+    /// concurrency and a slot may hold a *retired* runtime until it is
+    /// reused. Look applications up by `spec.id()`, not by index.
     #[must_use]
     pub fn runtimes(&self) -> &[AppRuntime] {
         &self.rts
@@ -971,13 +952,8 @@ impl<'a> Simulation<'a> {
     /// bit-identical to stepping directly.
     fn peek_next_event(&mut self) -> Time {
         let mut t_next = Time::INFINITY;
-        if let Some(&(t, _, _)) = self.releases.last() {
-            t_next = t_next.min(t);
-        }
-        if let Admission::Open { queue, .. } = &self.admission {
-            if let Some(app) = queue.front() {
-                t_next = t_next.min(app.release());
-            }
+        if let Some(app) = self.admission.queue.front() {
+            t_next = t_next.min(app.release());
         }
         if let Some(at) = self.compute.peek_min_at() {
             t_next = t_next.min(at);
@@ -1114,21 +1090,7 @@ impl<'a> Simulation<'a> {
                 let h = h.max(self.now);
                 self.advance_to(h, false);
                 self.now = h;
-                self.tel_open.end = self.now;
-                let closed = self.tel_open;
-                self.telemetry.record(closed);
-                if let Some(steady) = &mut self.steady {
-                    steady.record_interval(&closed);
-                }
-                if let Some(t) = &mut self.trace {
-                    t.push(TraceSegment {
-                        start: self.seg_start,
-                        end: self.now,
-                        capacity: self.seg_capacity,
-                        grants: self.seg_grants.clone(),
-                        effective: self.seg_effective.clone(),
-                    });
-                }
+                self.close_interval();
                 self.halted = true;
                 return Ok(StepStatus::Advanced);
             }
@@ -1164,32 +1126,15 @@ impl<'a> Simulation<'a> {
         // --- Advance the fluid state to t_next. -----------------------
         self.advance_to(t_next, true);
         self.now = t_next;
-        // Close the telemetry interval the last allocation opened (the
-        // installed rates were constant across it — the fluid model).
-        self.tel_open.end = self.now;
-        let closed = self.tel_open;
-        self.telemetry.record(closed);
-        if let Some(steady) = &mut self.steady {
-            steady.record_interval(&closed);
-        }
+        self.close_interval();
         #[cfg(feature = "obs-timing")]
         self.timing.lap(StepTiming::ADVANCE, &mut watch);
 
         // --- State transitions and re-allocation. ---------------------
         self.settle_transitions()?;
-        if let Some(t) = &mut self.trace {
-            t.push(TraceSegment {
-                start: self.seg_start,
-                end: self.now,
-                capacity: self.seg_capacity,
-                grants: self.seg_grants.clone(),
-                effective: self.seg_effective.clone(),
-            });
-        }
         #[cfg(feature = "obs-timing")]
         self.timing.lap(StepTiming::SETTLE, &mut watch);
         self.allocate()?;
-        self.snapshot_segment();
         #[cfg(feature = "obs-timing")]
         self.timing.lap(StepTiming::ALLOCATE, &mut watch);
         Ok(StepStatus::Advanced)
@@ -1234,16 +1179,13 @@ impl<'a> Simulation<'a> {
             .telemetry
             .then(|| self.telemetry.summary())
             .flatten();
-        // `admitted` for the summary counts applications that actually
-        // entered the system: a closed roster cut by a horizon still
-        // holds its never-released applications on the release stack,
-        // and they must not inflate `left_in_system` (the stream path
-        // admits on release, so the two modes agree).
-        let entered = self.admitted - self.releases.len();
+        // Every mode admits on release, so `admitted` counts exactly the
+        // applications that entered the system: never-released ones still
+        // wait in the queue and do not inflate `left_in_system`.
         let steady = self
             .steady
             .as_ref()
-            .map(|acc| acc.summary(entered, self.finished));
+            .map(|acc| acc.summary(self.admitted, self.finished));
         let (report, per_app_bytes) = if self.config.per_app_detail {
             let mut retired = self.retired;
             retired.sort_by_key(|(o, _)| o.id);
@@ -1378,54 +1320,29 @@ impl<'a> Simulation<'a> {
     /// the clock), so each source is drained once — no global fixpoint
     /// loop over all applications:
     ///
-    /// * due releases pop off the release stack (closed roster) or are
-    ///   admitted from the stream source (open system),
+    /// * due arrivals are admitted off the front of the queue, and a
+    ///   stream feeder refills it,
     /// * due compute completions pop off the compute heap,
     /// * pending applications whose residual volume reached zero complete
     ///   their instance (and may chain through zero-work/zero-volume
     ///   instances within [`Simulation::settle_app`]).
     ///
-    /// Only stream admission can fail (a malformed source application).
+    /// Only the feeder refill can fail (a malformed source application).
     fn settle_transitions(&mut self) -> Result<(), SimError> {
-        while let Some(&(t, _, i)) = self.releases.last() {
-            if !t.approx_le(self.now) {
-                break;
-            }
-            self.releases.pop();
-            self.begin_instance(i, t.max(Time::ZERO));
-        }
-        loop {
-            let due = match &self.admission {
-                Admission::Open { queue, .. } => queue
-                    .front()
-                    .is_some_and(|app| app.release().approx_le(self.now)),
-                Admission::Roster => false,
-            };
-            if !due {
-                break;
-            }
-            let app = match &mut self.admission {
-                Admission::Open { queue, .. } => queue.pop_front().expect("checked above"),
-                Admission::Roster => unreachable!("due implies open admission"),
-            };
-            self.admit_streamed(app)?;
+        while self
+            .admission
+            .queue
+            .front()
+            .is_some_and(|app| app.release().approx_le(self.now))
+        {
+            let app = self.admission.queue.pop_front().expect("checked above");
+            self.admit(app);
             // Eager feeder refill right after the admission — the
             // stream mode's lookahead discipline: exhaustion (and thus
             // `is_finished`) is decided the moment the last arrival is
             // admitted, never a step later.
-            if let Admission::Open {
-                queue,
-                feeder: feeder @ Some(_),
-                ..
-            } = &mut self.admission
-            {
-                if queue.is_empty() {
-                    match feeder.as_mut().expect("matched above").next() {
-                        Some(next) => queue.push_back(next),
-                        None => *feeder = None,
-                    }
-                }
-            }
+            self.admission
+                .refill(self.platform, self.admitted, self.last_release)?;
         }
         while let Some(at) = self.compute.peek_min_at() {
             if !at.approx_le(self.now) {
@@ -1456,14 +1373,9 @@ impl<'a> Simulation<'a> {
         Ok(())
     }
 
-    /// Admit one application from the stream source: validate it in
-    /// isolation (the per-arrival slice of the open-system contract —
-    /// the same [`validate_open_arrival`] rules `simulate_open` checks
-    /// over whole slices), install it into a recycled or fresh slot and
-    /// start its first instance.
-    fn admit_streamed(&mut self, app: AppSpec) -> Result<(), SimError> {
-        validate_open_arrival(self.platform, &app, self.admitted, self.last_release)
-            .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
+    /// Admit one queued (hence already validated) application: install it
+    /// into a recycled or fresh slot and start its first instance.
+    fn admit(&mut self, app: AppSpec) {
         self.last_release = app.release();
         let release = app.release().max(Time::ZERO);
         let rt = AppRuntime::new(app, self.platform);
@@ -1485,7 +1397,6 @@ impl<'a> Simulation<'a> {
         };
         self.admitted += 1;
         self.begin_instance(slot, release);
-        Ok(())
     }
 
     /// Start application `i`'s current instance at `at` and register it
@@ -1557,10 +1468,9 @@ impl<'a> Simulation<'a> {
     }
 
     /// Compact a just-finished application out of its slot: its objective
-    /// contribution is extracted now (a handful of scalars), and in
-    /// stream mode the slot goes back on the free list for the next
-    /// admission to recycle — peak memory tracks concurrency, not the
-    /// total application count.
+    /// contribution is extracted now (a handful of scalars), and the slot
+    /// goes back on the free list for the next admission to recycle —
+    /// peak memory tracks concurrency, not the total application count.
     fn retire(&mut self, i: usize) {
         let rt = &self.rts[i];
         let d = self.now;
@@ -1576,20 +1486,11 @@ impl<'a> Simulation<'a> {
             steady.record_finish(&outcome);
         }
         if self.config.per_app_detail {
-            #[cfg(debug_assertions)]
-            if matches!(self.admission, Admission::Roster) {
-                debug_assert!(
-                    self.retired.len() < self.retired.capacity(),
-                    "closed-roster retirements must fit the pre-sized buffer"
-                );
-            }
             self.retired.push((outcome, self.hot.bytes_moved[i]));
         } else {
             self.agg.fold(&outcome);
         }
-        if matches!(self.admission, Admission::Open { .. }) {
-            self.free.push(i);
-        }
+        self.free.push(i);
         if self.dtrace.is_some() {
             self.trace_push(TraceEvent::Retirement {
                 id: self.rts[i].spec.id().0 as u64,
@@ -1821,43 +1722,36 @@ impl<'a> Simulation<'a> {
         Ok(())
     }
 
-    /// Capture the current allocation for the trace segment being built
-    /// (skipped entirely when no trace was requested).
-    fn snapshot_segment(&mut self) {
-        self.seg_start = self.now;
-        if self.trace.is_none() {
-            return;
+    /// Close the interval the last allocation opened at `self.now` and
+    /// hand it to every observer: the telemetry ring, the steady-state
+    /// window and the bandwidth trace. Called before any transition is
+    /// settled, so the pending set and its installed rates are still
+    /// exactly those of the closed interval (the fluid model keeps them
+    /// constant across it).
+    fn close_interval(&mut self) {
+        self.tel_open.end = self.now;
+        let closed = self.tel_open;
+        self.telemetry.record(closed);
+        if let Some(steady) = &mut self.steady {
+            steady.record_interval(&closed);
         }
-        self.seg_grants.clear();
-        self.seg_effective.clear();
-        // At most one entry per pending application; reserve up front so
-        // the fill below never reallocates (debug-asserted).
-        let need = self.pending.len();
-        self.seg_grants.reserve(need);
-        self.seg_effective.reserve(need);
-        #[cfg(debug_assertions)]
-        let caps = (self.seg_grants.capacity(), self.seg_effective.capacity());
-        let load_factor = self
-            .config
-            .external_load
-            .as_ref()
-            .map_or(1.0, |l| l.capacity_factor(self.now));
-        self.seg_capacity = match &self.bb {
-            Some(b) => b.ingest_capacity(self.platform.total_bw),
-            None => self.platform.total_bw * load_factor,
-        };
-        for &(id, i) in self.pending.entries() {
-            if self.hot.rate[i].get() > 0.0 {
-                self.seg_grants.push((id, self.hot.rate[i]));
-                self.seg_effective.push((id, self.hot.effective[i]));
-            }
+        if let Some(trace) = &mut self.trace {
+            let granted = || {
+                self.pending
+                    .entries()
+                    .iter()
+                    .filter(|&&(_, i)| self.hot.rate[i].get() > 0.0)
+            };
+            trace.push(TraceSegment {
+                start: closed.start,
+                end: closed.end,
+                capacity: closed.capacity,
+                grants: granted().map(|&(id, i)| (id, self.hot.rate[i])).collect(),
+                effective: granted()
+                    .map(|&(id, i)| (id, self.hot.effective[i]))
+                    .collect(),
+            });
         }
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            caps,
-            (self.seg_grants.capacity(), self.seg_effective.capacity()),
-            "trace-segment buffers must not reallocate mid-fill"
-        );
     }
 }
 
@@ -1897,7 +1791,7 @@ pub fn simulate_open(
     config: &SimConfig,
 ) -> Result<SimOutcome, SimError> {
     validate_open_scenario(platform, apps).map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-    Simulation::from_stream(platform, apps.iter().cloned(), policy, config)?.run_to_completion()
+    Simulation::roster(platform, apps, policy, config, true)?.run_to_completion()
 }
 #[cfg(test)]
 mod tests {
@@ -2512,6 +2406,79 @@ mod tests {
         assert!((out.report.dilation - 1.0).abs() < 1e-9, "no contention");
     }
 
+    /// Closed rosters recycle slots too: with ids permuted against
+    /// release order the arena still tracks peak concurrency, and
+    /// `admitted`/`queued` count released and waiting applications.
+    #[test]
+    fn permuted_closed_roster_recycles_slots() {
+        let p = platform();
+        let n = 9;
+        // Releases 7 s apart, 10 s dedicated span each: never more than
+        // two applications in the system, and no I/O ever overlaps.
+        let apps: Vec<AppSpec> = (0..n)
+            .map(|k| {
+                let mut a = app((k * 4) % n, 1);
+                a.set_release(Time::secs(7.0 * k as f64));
+                a
+            })
+            .collect();
+        let config = SimConfig::default();
+        let mut policy = MinDilation;
+        let mut sim = Simulation::new(&p, &apps, &mut policy, &config).unwrap();
+        assert_eq!((sim.admitted(), sim.queued()), (1, n - 1));
+        let mut peak = sim.live();
+        while !sim.is_finished() {
+            sim.step().unwrap();
+            peak = peak.max(sim.live());
+        }
+        assert_eq!(peak, 2);
+        assert!(
+            sim.runtimes().len() <= peak,
+            "arena held {} slots at peak concurrency {peak}",
+            sim.runtimes().len()
+        );
+        assert_eq!((sim.admitted(), sim.queued()), (n, 0));
+        let out = sim.into_outcome();
+        let ids: Vec<usize> = out.report.per_app.iter().map(|o| o.id.0).collect();
+        assert_eq!(ids, (0..n).collect::<Vec<_>>());
+        assert!((out.report.dilation - 1.0).abs() < 1e-9, "no contention");
+    }
+
+    /// Stream arrivals are validated when pulled into the lookahead, so
+    /// a malformed second arrival fails the step that admits the first —
+    /// not a later step at its own release.
+    #[test]
+    fn malformed_stream_arrival_fails_when_pulled() {
+        let p = platform();
+        let mut first = app(0, 1);
+        first.set_release(Time::secs(5.0));
+        let mut second = app(7, 1); // position 1 must hold id 1
+        second.set_release(Time::secs(50.0));
+        let config = SimConfig::default();
+        let mut policy = MinDilation;
+        let source = [first.clone(), second.clone()].into_iter();
+        let mut sim = Simulation::from_stream(&p, source, &mut policy, &config).unwrap();
+        assert_eq!(sim.admitted(), 0);
+        let err = sim.step().unwrap_err();
+        assert!(err.to_string().contains("dense"), "{err}");
+        assert_eq!(
+            sim.admitted(),
+            1,
+            "the error surfaced with the first admission"
+        );
+        assert!(sim.now().approx_eq(Time::secs(5.0)), "now {}", sim.now());
+
+        // Released at t = 0, the first is admitted at construction, and
+        // so the constructor reports the error.
+        first.set_release(Time::ZERO);
+        let mut policy = MinDilation;
+        let source = [first, second].into_iter();
+        let err = Simulation::from_stream(&p, source, &mut policy, &config)
+            .err()
+            .expect("malformed lookahead");
+        assert!(err.to_string().contains("dense"), "{err}");
+    }
+
     #[test]
     fn horizon_halts_and_warmup_trims_the_steady_window() {
         let p = platform();
@@ -2900,11 +2867,11 @@ mod tests {
         let p = platform();
         let config = SimConfig::default();
 
-        // Roster engines take no offers.
+        // Roster engines take no offers: their queue is born closed.
         let mut pol = MinDilation;
         let mut sim = Simulation::new(&p, &[app(0, 1)], &mut pol, &config).unwrap();
         let err = sim.offer(app(1, 1)).unwrap_err();
-        assert!(err.to_string().contains("closed roster"), "{err}");
+        assert!(err.to_string().contains("has been closed"), "{err}");
 
         // Stream engines take no offers either.
         let apps = staggered(2);

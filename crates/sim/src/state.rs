@@ -9,8 +9,8 @@
 //! bookkeeping, the instance counter) is only touched at instance
 //! boundaries and retirement.
 //!
-//! Slots are recycled in stream mode, so both sides grow with peak
-//! *concurrency*, never with the stream length.
+//! Slots are recycled in every mode, so both sides grow with peak
+//! *concurrency*, never with the roster or stream length.
 
 use iosched_model::{AppProgress, AppSpec, Bw, Bytes, Platform, Time};
 
@@ -205,7 +205,7 @@ impl HotState {
         slot
     }
 
-    /// Reinstall a recycled slot for `rt` (stream mode).
+    /// Reinstall a recycled slot for `rt`.
     pub fn reset_slot(&mut self, slot: usize, rt: &AppRuntime, platform: &Platform) {
         let release = rt.spec.release();
         let (work_done, rho_work, rho_span) = rt.progress.key_parts();

@@ -6,8 +6,9 @@
 use iosched_baselines::{FairShare, Fcfs};
 use iosched_core::heuristics::PolicyKind;
 use iosched_core::policy::OnlinePolicy;
+use iosched_core::ControlPolicy;
 use iosched_model::{AppId, AppSpec, Bw, Bytes, Platform, Time};
-use iosched_sim::{simulate, SimConfig};
+use iosched_sim::{simulate, simulate_open, ExternalLoad, SimConfig, SimOutcome};
 use proptest::prelude::*;
 
 /// Random platform: 200–4,000 nodes, b in [0.02, 0.2] GiB/s, B sized so
@@ -56,36 +57,106 @@ fn all_policies() -> Vec<Box<dyn OnlinePolicy>> {
     let mut v = iosched_core::standard_policies();
     v.push(Box::new(FairShare));
     v.push(Box::new(Fcfs));
+    v.push(Box::new(ControlPolicy::pi_default()));
     v
+}
+
+/// Traced runs with the full pipe, and under a communication storm that
+/// takes half of `B` for the first 20 s of every minute (so the trace's
+/// capacity is the squeezed `B`, not the platform's).
+fn traced_configs() -> [SimConfig; 2] {
+    let squeezed = SimConfig {
+        external_load: Some(ExternalLoad {
+            period: Time::secs(60.0),
+            busy: Time::secs(20.0),
+            fraction: 0.5,
+        }),
+        ..SimConfig::traced()
+    };
+    [SimConfig::traced(), squeezed]
+}
+
+/// The same roster as a valid open-system arrival sequence: ids
+/// renumbered densely in `(release, id)` order.
+fn as_open_roster(apps: &[AppSpec]) -> Vec<AppSpec> {
+    let mut sorted = apps.to_vec();
+    sorted.sort_by(|a, b| {
+        (a.release().get().total_cmp(&b.release().get())).then(a.id().cmp(&b.id()))
+    });
+    sorted
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| AppSpec::new(i, a.release(), a.procs(), a.pattern().clone()))
+        .collect()
+}
+
+/// Everything a run reports except the steady-state summary (only
+/// open-system runs attach one), with floats compared bit for bit
+/// (`Debug` prints them in shortest round-trip form).
+fn fingerprint(out: &SimOutcome) -> String {
+    let trace = out
+        .trace
+        .as_ref()
+        .map(|t| serde_json::to_string(t).unwrap());
+    format!(
+        "{:?} {} {:?} {:?} {:?}",
+        out.report, out.events, out.per_app_bytes, out.end_time, trace
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every policy transfers exactly the requested volume for every
-    /// application, and the recorded trace violates no capacity rule.
+    /// application, and the recorded trace violates no capacity rule —
+    /// with the full pipe and under an external load. Every scenario
+    /// also re-runs as an open roster: closed and open runs enter the
+    /// engine through the same arrival queue, so they must agree bit
+    /// for bit on everything but the steady-state summary.
     #[test]
     fn conservation_and_capacity((platform, apps) in scenario()) {
-        for mut policy in all_policies() {
-            let out = simulate(&platform, &apps, policy.as_mut(), &SimConfig::traced())
-                .expect("random scenarios are valid");
-            // Conservation: delivered bytes == Σ vol per app.
-            for app in &apps {
-                let delivered = out.bytes_of(app.id()).expect("every app reported");
-                let expected = app.total_vol();
-                prop_assert!(
-                    (delivered.get() - expected.get()).abs()
-                        <= 1e-6 * expected.get().max(1.0),
-                    "{}: {} delivered vs {} requested under {}",
-                    app.id(), delivered, expected, policy.name()
+        let open = as_open_roster(&apps);
+        for config in traced_configs() {
+            let fresh = all_policies().into_iter().zip(all_policies()).zip(all_policies());
+            for ((mut policy, mut closed_policy), mut open_policy) in fresh {
+                let out = simulate(&platform, &apps, policy.as_mut(), &config)
+                    .expect("random scenarios are valid");
+                // Conservation: delivered bytes == Σ vol per app.
+                for app in &apps {
+                    let delivered = out.bytes_of(app.id()).expect("every app reported");
+                    let expected = app.total_vol();
+                    prop_assert!(
+                        (delivered.get() - expected.get()).abs()
+                            <= 1e-6 * expected.get().max(1.0),
+                        "{}: {} delivered vs {} requested under {}",
+                        app.id(), delivered, expected, policy.name()
+                    );
+                }
+                // Capacity rules, replayed from the trace.
+                let trace = out.trace.as_ref().expect("trace requested");
+                let procs_of = |id: AppId| apps.iter().find(|a| a.id() == id).map(AppSpec::procs);
+                trace.validate(&platform, &procs_of).map_err(|e| {
+                    TestCaseError::fail(format!("{}: {e}", policy.name()))
+                })?;
+                if config.external_load.is_some() {
+                    prop_assert!(
+                        trace.segments.iter().any(|s| s.capacity < platform.total_bw),
+                        "{}: no segment saw the squeezed capacity", policy.name()
+                    );
+                }
+                // One admission path: the renumbered roster run closed
+                // and through `simulate_open` is the same run.
+                let closed = simulate(&platform, &open, closed_policy.as_mut(), &config)
+                    .expect("renumbered roster is valid");
+                let streamed = simulate_open(&platform, &open, open_policy.as_mut(), &config)
+                    .expect("renumbered roster is a valid open roster");
+                prop_assert_eq!(
+                    fingerprint(&closed),
+                    fingerprint(&streamed),
+                    "{}: open roster diverged from the closed run",
+                    policy.name()
                 );
             }
-            // Capacity rules, replayed from the trace.
-            let trace = out.trace.as_ref().expect("trace requested");
-            let procs_of = |id: AppId| apps.iter().find(|a| a.id() == id).map(AppSpec::procs);
-            trace.validate(&platform, &procs_of).map_err(|e| {
-                TestCaseError::fail(format!("{}: {e}", policy.name()))
-            })?;
         }
     }
 
